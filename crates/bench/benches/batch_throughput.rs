@@ -2,7 +2,7 @@
 //! (PRNG included) at several widths, plus the word-width ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::{Backend, SamplerBuilder};
 use ctgauss_prng::ChaChaRng;
 
 fn bench_batches(c: &mut Criterion) {
@@ -13,14 +13,17 @@ fn bench_batches(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("width", 1), |b| {
         b.iter(|| std::hint::black_box(sampler.sample_batch(&mut rng)))
     });
-    group.throughput(Throughput::Elements(256));
-    group.bench_function(BenchmarkId::new("width", 4), |b| {
-        b.iter(|| std::hint::black_box(sampler.sample_batch_wide::<4, _>(&mut rng)))
-    });
-    group.throughput(Throughput::Elements(512));
-    group.bench_function(BenchmarkId::new("width", 8), |b| {
-        b.iter(|| std::hint::black_box(sampler.sample_batch_wide::<8, _>(&mut rng)))
-    });
+    for width in [4usize, 8] {
+        let mut scratch = sampler.lane_scratch_for(Backend::select_for_width(width));
+        let mut out = vec![0i32; 64 * width];
+        group.throughput(Throughput::Elements(64 * width as u64));
+        group.bench_function(BenchmarkId::new("width", width), |b| {
+            b.iter(|| {
+                sampler.sample_batch_lanes(&mut rng, &mut scratch, &mut out);
+                std::hint::black_box(out[0])
+            })
+        });
+    }
     group.finish();
 }
 

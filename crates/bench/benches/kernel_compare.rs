@@ -1,19 +1,17 @@
-//! The three execution engines raced per 64-sample batch (PRNG excluded —
-//! all sides consume the same pre-generated words):
+//! The production engine raced against the oracle per 64-sample batch
+//! (PRNG excluded — both sides consume the same pre-generated words):
 //!
 //! * `interpreter` — `CtSampler::run_batch_reference`: per-op `match` over
 //!   the full SSA register file (the reference oracle).
-//! * `compiled` — `CtSampler::run_batch_compiled`: the optimizing lowering
-//!   (DCE, fusion, GVN, list scheduling, slot allocation), still one
-//!   dispatch per instruction.
 //! * `tiled` — `CtSampler::run_batch`: the production superinstruction
 //!   engine, one dispatch per 2–4-op tile over a dense-packed stream.
 //!
-//! Divide the reported per-batch time by 64 for per-sample ns. The wide
-//! rows execute 4 batch records per kernel pass through reusable scratch
-//! (256 samples per iteration). Static dispatch counts per engine are
-//! printed at setup: the tiled engine's ~3–4× reduction there is the
-//! mechanism behind its scalar speedup.
+//! Divide the reported per-batch time by 64 for per-sample ns. The
+//! `tiled_wide4` rows execute 4 batch records per kernel pass through
+//! reusable lane scratch on a width-4 backend (256 samples per
+//! iteration). Static dispatch counts are printed at setup: the tiled
+//! engine's ~3–4× reduction against the per-op instruction count there
+//! is the mechanism behind its scalar speedup.
 //!
 //! Configurations: sigma = 2 at n = 24 (the acceptance configuration),
 //! the paper's Falcon base distribution sigma = 2 at n = 128, and the
@@ -60,21 +58,18 @@ fn bench_kernel_compare(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("interpreter", &id), &id, |b, _| {
             b.iter(|| std::hint::black_box(sampler.run_batch_reference(&inputs, signs)))
         });
-        group.bench_with_input(BenchmarkId::new("compiled", &id), &id, |b, _| {
-            b.iter(|| std::hint::black_box(sampler.run_batch_compiled(&inputs, signs)))
-        });
         group.bench_with_input(BenchmarkId::new("tiled", &id), &id, |b, _| {
             b.iter(|| std::hint::black_box(sampler.run_batch(&inputs, signs)))
         });
         // Wide tiled path, PRNG included but cheap (SplitMix64):
         // 256 samples per iteration through reused scratch.
         let mut fast_rng = SplitMix64::new(17);
-        let mut scratch = sampler.scratch::<4>();
+        let mut scratch = sampler.lane_scratch_for(Backend::select_for_width(4));
         let mut out = [0i32; 256];
         group.throughput(Throughput::Elements(256));
         group.bench_with_input(BenchmarkId::new("tiled_wide4", &id), &id, |b, _| {
             b.iter(|| {
-                sampler.sample_batch_with(&mut fast_rng, &mut scratch, &mut out);
+                sampler.sample_batch_lanes(&mut fast_rng, &mut scratch, &mut out);
                 std::hint::black_box(out[0])
             })
         });

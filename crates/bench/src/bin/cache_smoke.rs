@@ -19,7 +19,7 @@
 //! removes the directory and runs once more to prove the cache-miss
 //! fallback stays green.
 
-use ctgauss_core::{CacheDisposition, CtSampler, Fingerprint, SamplerSpec, SynthStage};
+use ctgauss_core::{Backend, CacheDisposition, CtSampler, Fingerprint, SamplerSpec, SynthStage};
 use ctgauss_prng::ChaChaRng;
 
 const PROFILES: &[(&str, u32)] = &[("2", 24), ("2", 128), ("6.15543", 128)];
@@ -41,17 +41,14 @@ fn digest(samples: &[i32]) -> u64 {
     fp.value()
 }
 
-/// The W-wide stream: 4 batches of `64 * w` samples on a fixed seed.
+/// The W-wide stream: 4 lanes-path batches of `64 * w` samples on a
+/// fixed seed, through a width-`w` backend.
 fn stream(sampler: &CtSampler, w: usize, seed: u64) -> Vec<i32> {
     let mut rng = ChaChaRng::from_u64_seed(seed);
-    let mut out = Vec::new();
-    for _ in 0..4 {
-        match w {
-            1 => out.extend_from_slice(&sampler.sample_batch(&mut rng)),
-            2 => out.extend(sampler.sample_batch_wide::<2, _>(&mut rng)),
-            4 => out.extend(sampler.sample_batch_wide::<4, _>(&mut rng)),
-            _ => unreachable!("W is 1, 2 or 4"),
-        }
+    let mut scratch = sampler.lane_scratch_for(Backend::select_for_width(w));
+    let mut out = vec![0i32; 4 * 64 * w];
+    for batch in out.chunks_exact_mut(64 * w) {
+        sampler.sample_batch_lanes(&mut rng, &mut scratch, batch);
     }
     out
 }

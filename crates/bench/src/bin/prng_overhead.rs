@@ -4,7 +4,7 @@
 //! Paper: ~80-85% with Keccak, ~60% with ChaCha.
 
 use ctgauss_bench::{measure_cycles, print_table};
-use ctgauss_core::SamplerBuilder;
+use ctgauss_core::{Backend, SamplerBuilder};
 use ctgauss_prng::{ChaChaRng, KeccakRng, RandomSource};
 
 fn measure_fraction<R: RandomSource>(make: impl Fn() -> R, wide: bool) -> (u64, u64, f64) {
@@ -12,8 +12,11 @@ fn measure_fraction<R: RandomSource>(make: impl Fn() -> R, wide: bool) -> (u64, 
     // Full batch including PRNG.
     let mut rng = make();
     let total = if wide {
+        let mut scratch = sampler.lane_scratch_for(Backend::select_for_width(8));
+        let mut out = [0i32; 64 * 8];
         measure_cycles(501, || {
-            std::hint::black_box(sampler.sample_batch_wide::<8, _>(&mut rng));
+            sampler.sample_batch_lanes(&mut rng, &mut scratch, &mut out);
+            std::hint::black_box(&out);
         })
     } else {
         measure_cycles(501, || {

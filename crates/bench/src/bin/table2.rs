@@ -24,7 +24,7 @@
 use ctgauss_bench::report::{smoke_requested, BenchReport};
 use ctgauss_bench::{cycle_unit, measure_cycles_floor, print_table};
 use ctgauss_cdt::{CdtTable, LinearSearchCdt};
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{Backend, SamplerBuilder, Strategy};
 use ctgauss_knuthyao::GaussianParams;
 use ctgauss_prng::{ChaChaRng, RandomSource};
 
@@ -120,8 +120,11 @@ fn main() {
             std::hint::black_box(split.sample_batch(&mut rng));
         });
         let mut rng_w = ChaChaRng::from_u64_seed(13);
+        let mut scratch = split.lane_scratch_for(Backend::select_for_width(8));
+        let mut wide = [0i32; 64 * 8];
         let cycles_wide = measure_cycles_floor(runs / 4 + 1, || {
-            std::hint::black_box(split.sample_batch_wide::<8, _>(&mut rng_w));
+            split.sample_batch_lanes(&mut rng_w, &mut scratch, &mut wide);
+            std::hint::black_box(&wide);
         }) / 8;
         let mut rng2 = ChaChaRng::from_u64_seed(12);
         let cycles_lin64 = measure_cycles_floor(runs, || {

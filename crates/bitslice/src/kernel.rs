@@ -19,9 +19,12 @@
 //!    SSA register file is mapped onto a small reusable slot array whose
 //!    size is the program's live width, not its length — it stays resident
 //!    in L1 while a batch executes.
-//! 4. A **threaded-code evaluator** generic over the lane word
-//!    ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …) so one lowering
-//!    serves scalar and wide execution alike.
+//! 4. A plain **per-op evaluator** ([`CompiledKernel::execute`]) generic
+//!    over the lane word ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …).
+//!    It runs the synthesis probe gates and the property tests; batches
+//!    execute through the [`TiledKernel`](crate::TiledKernel) lowered from
+//!    this instruction stream, which dispatches once per superinstruction
+//!    instead of once per op.
 //!
 //! Every transformation is semantics-preserving on the declared outputs;
 //! [`crate::audit_kernel`] re-derives the constant-time audit over the
@@ -665,80 +668,20 @@ impl CompiledKernel {
         }
     }
 
-    /// The bounds-check-free inner loop behind
-    /// [`execute_fast`](Self::execute_fast): the slot array is a fixed
-    /// power-of-two-sized stack array and every index is masked with
-    /// `N - 1`, so the indices are provably in range and the compiler
-    /// drops all slice bounds checks from the dispatch loop. Masking never
-    /// changes an index because lowering guarantees every slot id is below
-    /// [`num_slots`](Self::num_slots)` <= N`.
-    #[inline(always)]
-    fn execute_masked<L: LaneWord, const N: usize>(
-        &self,
-        inputs: &[L],
-        slots: &mut [L; N],
-        outputs: &mut [L],
-    ) {
-        debug_assert!(N.is_power_of_two() && self.num_slots as usize <= N);
-        for instr in &self.instrs {
-            let (a, b) = (instr.a as usize & (N - 1), instr.b as usize & (N - 1));
-            let v = match instr.op {
-                Opcode::Input => inputs[instr.a as usize],
-                Opcode::Zero => L::ZERO,
-                Opcode::One => L::ONES,
-                Opcode::Not => slots[a].not(),
-                Opcode::And => slots[a].and(slots[b]),
-                Opcode::Or => slots[a].or(slots[b]),
-                Opcode::Xor => slots[a].xor(slots[b]),
-                Opcode::AndNot => slots[a].and(slots[b].not()),
-                Opcode::OrNot => slots[a].or(slots[b].not()),
-                Opcode::Nand => slots[a].and(slots[b]).not(),
-                Opcode::Nor => slots[a].or(slots[b]).not(),
-                Opcode::Xnor => slots[a].xor(slots[b]).not(),
-            };
-            slots[instr.dst as usize & (N - 1)] = v;
-        }
-        for (out, &s) in outputs.iter_mut().zip(&self.output_slots) {
-            *out = slots[s as usize & (N - 1)];
-        }
-    }
-
-    /// Executes the kernel with internally managed scratch: kernels up to
-    /// 2048 slots run over a fixed-size stack array through the masked,
-    /// bounds-check-free loop (every sampler this workspace builds fits);
-    /// larger kernels fall back to a heap-allocated slot buffer and
-    /// [`execute`](Self::execute).
+    /// Convenience wrapper over [`execute`](Self::execute) with a fresh
+    /// heap slot buffer, returning the outputs in a fresh `Vec` — for the
+    /// synthesis probe gates, tests and one-off runs. Batches execute
+    /// through the [`TiledKernel`](crate::TiledKernel) lowered from this
+    /// kernel.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` or `outputs.len()` mismatch the kernel's
-    /// declared counts.
-    #[inline(always)]
-    pub fn execute_fast<L: LaneWord>(&self, inputs: &[L], outputs: &mut [L]) {
-        assert_eq!(
-            inputs.len() as u32,
-            self.num_inputs,
-            "input word count mismatch"
-        );
-        assert_eq!(
-            outputs.len(),
-            self.output_slots.len(),
-            "output word count mismatch"
-        );
-        crate::exec::with_stack_slots!(
-            self.num_slots as usize,
-            L,
-            |slots| self.execute_masked(inputs, slots, outputs),
-            |slots| self.execute(inputs, slots, outputs),
-        );
-    }
-
-    /// Convenience wrapper over [`execute_fast`](Self::execute_fast) that
-    /// returns the outputs in a fresh `Vec` — for tests and one-off runs,
-    /// not the hot path.
+    /// Panics if `inputs.len()` mismatches the kernel's declared input
+    /// count.
     pub fn run<L: LaneWord>(&self, inputs: &[L]) -> Vec<L> {
+        let mut slots = vec![L::ZERO; self.num_slots as usize];
         let mut outputs = vec![L::ZERO; self.output_slots.len()];
-        self.execute_fast(inputs, &mut outputs);
+        self.execute(inputs, &mut slots, &mut outputs);
         outputs
     }
 }

@@ -17,13 +17,14 @@
 //! * [`CompiledKernel`] — the optimizing lowering pipeline: dead-code
 //!   elimination, `AndNot`/`Xnor` op fusion, constant folding, post-fusion
 //!   GVN/CSE, windowed list scheduling, and liveness + linear-scan slot
-//!   allocation, followed by allocation-free execution generic over the
-//!   lane width ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …).
+//!   allocation. It is the lowering stage [`TiledKernel`] consumes; its
+//!   plain per-op evaluator runs the synthesis probe gates.
 //! * [`TiledKernel`] — the production execution engine: the compiled
 //!   kernel's instruction stream re-lowered into superinstruction tiles
 //!   (straight-line unrolled handlers for the dominant 2–4-op patterns,
 //!   dense-packed operand stream), so the dispatch loop fires once per
-//!   tile instead of once per op.
+//!   tile instead of once per op. It is generic over the lane width
+//!   ([`LaneWord`]: `u64`, `[u64; 2]`, `[u64; 4]`, …).
 //! * [`Backend`] — runtime-dispatched SIMD lane backends (SSE2 / AVX2 /
 //!   AVX-512 / NEON intrinsics plus the always-available portable words),
 //!   selected by CPU feature detection and overridable through the
@@ -55,7 +56,6 @@
 pub mod artifact;
 mod audit;
 mod compile;
-mod exec;
 mod kernel;
 mod program;
 #[allow(unsafe_code)]
@@ -66,7 +66,7 @@ mod transpose;
 pub use audit::{audit, audit_kernel, audit_tiled, AuditReport};
 pub use compile::compile;
 pub use kernel::{CompiledKernel, Instr, LaneWord, LoweringStats, Opcode};
-pub use program::{interpret, interpret_lanes, interpret_wide, Op, Program};
+pub use program::{interpret, Op, Program};
 pub use simd::{Backend, FORCE_BACKEND_ENV};
 pub use tile::{Tile, TileStats, TiledKernel};
 pub use transpose::{

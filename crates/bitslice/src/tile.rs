@@ -26,8 +26,9 @@
 //! [`TiledKernel::micro_instrs`] decodes back to exactly the per-op
 //! kernel's instruction list, which is why the constant-time audit
 //! transfers (a tile's support is the union of its ops' supports — see
-//! [`audit_tiled`](crate::audit_tiled)) and why the per-op kernel and the
-//! interpreter both survive as bit-exact oracles.
+//! [`audit_tiled`](crate::audit_tiled)). The per-op kernel stays as the
+//! lowering stage this module consumes; the scalar
+//! [`interpret`](crate::interpret) is the single bit-exact oracle.
 //!
 //! # Examples
 //!
@@ -290,8 +291,7 @@ macro_rules! tiles {
 
             /// The plain executor behind [`execute`](Self::execute):
             /// caller-provided slice scratch, ordinary bounds checks —
-            /// the path large (> 2048-slot) kernels and the wide batch
-            /// APIs use.
+            /// also the path of large (> 2048-slot) kernels.
             #[inline(always)]
             fn run_plain<L: LaneWord, S: OpStream>(
                 &self,
@@ -539,8 +539,8 @@ impl TiledKernel {
         &self.tiles
     }
 
-    /// Static dispatches per execution: one per tile. The per-op engines
-    /// dispatch once per instruction; this is the number the
+    /// Static dispatches per execution: one per tile. A per-op loop
+    /// dispatches once per instruction; this is the number the
     /// superinstruction lowering shrinks ~3–4× on sampler kernels.
     pub fn dispatch_count(&self) -> usize {
         self.tiles.len()
@@ -590,8 +590,7 @@ impl TiledKernel {
     }
 
     /// Executes the tiled kernel over caller-provided scratch, writing one
-    /// lane word per declared output into `outputs` — the wide batch APIs'
-    /// entry point. Semantics and panics match
+    /// lane word per declared output into `outputs`. Semantics and panics match
     /// [`CompiledKernel::execute`](crate::CompiledKernel::execute): fixed
     /// instruction sequence, fixed memory-access pattern, nothing
     /// allocated.
@@ -629,18 +628,23 @@ impl TiledKernel {
     pub fn execute_fast<L: LaneWord>(&self, inputs: &[L], outputs: &mut [L]) {
         self.check_shapes(inputs.len(), outputs.len());
         match &self.code {
-            Code::Dense(c) => crate::exec::with_stack_slots!(
-                self.num_slots as usize,
-                L,
-                |slots| self.run_masked(DenseStream(c), inputs, slots, outputs),
-                |slots| self.run_plain(DenseStream(c), inputs, slots, outputs),
-            ),
-            Code::Wide(c) => crate::exec::with_stack_slots!(
-                self.num_slots as usize,
-                L,
-                |slots| self.run_masked(WideStream(c), inputs, slots, outputs),
-                |slots| self.run_plain(WideStream(c), inputs, slots, outputs),
-            ),
+            Code::Dense(c) => self.run_tiered(DenseStream(c), inputs, outputs),
+            Code::Wide(c) => self.run_tiered(WideStream(c), inputs, outputs),
+        }
+    }
+
+    /// Runs `code` over a zeroed stack slot array of the smallest
+    /// power-of-two tier (128 / 512 / 2048) holding the kernel's slots,
+    /// through the masked handlers — monomorphized once per tier, so the
+    /// `N - 1` index mask stays a compile-time constant — or over a heap
+    /// slot buffer through the plain handlers above 2048 slots.
+    #[inline(always)]
+    fn run_tiered<L: LaneWord, S: OpStream>(&self, code: S, inputs: &[L], outputs: &mut [L]) {
+        match self.num_slots as usize {
+            0..=128 => self.run_masked(code, inputs, &mut [L::ZERO; 128], outputs),
+            129..=512 => self.run_masked(code, inputs, &mut [L::ZERO; 512], outputs),
+            513..=2048 => self.run_masked(code, inputs, &mut [L::ZERO; 2048], outputs),
+            n => self.run_plain(code, inputs, &mut vec![L::ZERO; n], outputs),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Cross-width differential matrix: every lane backend compiled for this
-//! host must be bit-identical to the scalar `u64` oracle through all three
-//! execution engines (interpreter, per-op [`CompiledKernel`], tiled
-//! [`TiledKernel`]) on random well-formed programs and random inputs.
+//! host must run the [`TiledKernel`] (lowered through [`CompiledKernel`])
+//! bit-identically to the scalar `u64` interpreter oracle, lane word by
+//! lane word, on random well-formed programs and random inputs.
 //!
 //! The matrix is backend-major: each proptest case iterates the full
 //! [`Backend::available()`] list, so the portable lane words are always
@@ -84,9 +84,9 @@ fn oracle(program: &Program, inputs: &[u64], width: usize) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
 
-    /// The full backend x engine matrix on one random (program, inputs)
-    /// cell: for every available backend, all three engines reproduce the
-    /// per-lane scalar oracle bit for bit.
+    /// The full backend matrix on one random (program, inputs) cell: for
+    /// every available backend, the tiled engine reproduces the per-lane
+    /// scalar oracle bit for bit.
     #[test]
     fn prop_every_backend_and_engine_matches_scalar_oracle(
         seed in any::<u64>(),
@@ -95,20 +95,13 @@ proptest! {
         input_seed in any::<u64>(),
     ) {
         let program = build_program(seed, num_inputs, len);
-        let kernel = CompiledKernel::lower(&program);
-        let tiled = TiledKernel::lower(&kernel);
+        let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
         let num_outputs = program.outputs().len();
         for backend in Backend::available() {
             let width = backend.width();
             let inputs = planar_inputs(num_inputs as usize, width, input_seed);
             let expected = oracle(&program, &inputs, width);
             let mut got = vec![0u64; num_outputs * width];
-            backend.run_interpreter(&program, &inputs, &mut got);
-            prop_assert_eq!(&got, &expected, "interpreter diverged on {}", backend);
-            got.fill(0);
-            backend.run_compiled(&kernel, &inputs, &mut got);
-            prop_assert_eq!(&got, &expected, "compiled kernel diverged on {}", backend);
-            got.fill(0);
             backend.run_tiled(&tiled, &inputs, &mut got);
             prop_assert_eq!(&got, &expected, "tiled kernel diverged on {}", backend);
         }
@@ -126,8 +119,7 @@ proptest! {
         input_seed in any::<u64>(),
     ) {
         let program = build_program(seed, num_inputs, len);
-        let kernel = CompiledKernel::lower(&program);
-        let tiled = TiledKernel::lower(&kernel);
+        let tiled = TiledKernel::lower(&CompiledKernel::lower(&program));
         let num_outputs = program.outputs().len();
         let available = Backend::available();
         for width in [2usize, 4, 8] {
@@ -143,9 +135,6 @@ proptest! {
                 let mut got = vec![0u64; num_outputs * width];
                 peer.run_tiled(&tiled, &inputs, &mut got);
                 prop_assert_eq!(&got, &reference, "{} != {}", peer, peers[0]);
-                got.fill(0);
-                peer.run_compiled(&kernel, &inputs, &mut got);
-                prop_assert_eq!(&got, &reference, "compiled {} != tiled {}", peer, peers[0]);
             }
         }
     }

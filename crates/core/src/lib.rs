@@ -74,7 +74,7 @@ pub use cache::{inject_load_failures, injected_load_failure_hits, KernelCache};
 // bitslice dependency.
 pub use ctgauss_bitslice::{Backend, FORCE_BACKEND_ENV};
 pub use metrics::attach_metrics;
-pub use sampler::{BatchScratch, CtSampler, LaneScratch, SampleStream};
+pub use sampler::{CtSampler, LaneScratch, SampleStream};
 pub use spec::SamplerSpec;
 pub use stages::{
     BuildTrace, CacheDisposition, Fingerprint, StageRecord, SynthStage, SYNTH_FORMAT_VERSION,

@@ -36,10 +36,9 @@ pub(crate) const MAX_SAMPLE_BITS: usize = 31;
 /// scheduling, register allocation) and then re-lowered to a
 /// [`TiledKernel`] (superinstruction tiles: one dispatch per 2–4-op
 /// pattern instead of one per op); every sampling API executes the tiled
-/// kernel. Both earlier engines survive as bit-exact oracles: the
-/// interpreter behind [`run_batch_reference`](Self::run_batch_reference)
-/// and the per-op kernel behind
-/// [`run_batch_compiled`](Self::run_batch_compiled).
+/// kernel. The interpreter behind
+/// [`run_batch_reference`](Self::run_batch_reference) is the single
+/// bit-exact oracle.
 ///
 /// # Randomness draw order
 ///
@@ -47,10 +46,11 @@ pub(crate) const MAX_SAMPLE_BITS: usize = 31;
 /// [`words_per_batch`](Self::words_per_batch)` = n + 1` words, drawn with a
 /// single [`RandomSource::fill_u64s`] call per record: words `0..n` are the
 /// bit-plane words (word `i` packs bit `b_i` of all 64 lanes), word `n` is
-/// the sign word. Wide and bulk APIs draw `W` consecutive records and
-/// de-interleave, so for the same generator stream:
+/// the sign word. Lane and bulk APIs draw `width` consecutive records and
+/// de-interleave, so for the same generator stream and on every
+/// [`Backend`]:
 ///
-/// * [`sample_batch_wide::<W>`](Self::sample_batch_wide) equals `W`
+/// * [`sample_batch_lanes`](Self::sample_batch_lanes) equals `width`
 ///   consecutive [`sample_batch`](Self::sample_batch) calls, concatenated;
 /// * [`sample_into`](Self::sample_into) equals the prefix of repeated
 ///   [`sample_batch`](Self::sample_batch) calls.
@@ -90,54 +90,15 @@ pub struct CtSampler {
     backend: Backend,
 }
 
-/// Caller-reusable scratch for the zero-allocation batch APIs
-/// ([`CtSampler::sample_batch_with`]), generic over the lane-block width
-/// `W` (64 × `W` samples per batch).
-///
-/// Create with [`CtSampler::scratch`]; reuse across batches — buffers are
-/// (re)sized on first use and then never reallocate for the same sampler.
-#[derive(Debug, Clone)]
-pub struct BatchScratch<const W: usize> {
-    /// Flat randomness buffer: `W` consecutive `(n + 1)`-word batch records.
-    draw: Vec<u64>,
-    /// De-interleaved kernel inputs: `inputs[i][w]` is bit-plane word `i`
-    /// of record `w`.
-    inputs: Vec<[u64; W]>,
-    /// Kernel slot array.
-    slots: Vec<[u64; W]>,
-    /// Kernel outputs (sample bit planes).
-    words: Vec<[u64; W]>,
-}
-
-impl<const W: usize> BatchScratch<W> {
-    fn empty() -> Self {
-        BatchScratch {
-            draw: Vec::new(),
-            inputs: Vec::new(),
-            slots: Vec::new(),
-            words: Vec::new(),
-        }
-    }
-
-    /// Sizes every buffer for `sampler` (no-op when already sized).
-    fn fit(&mut self, sampler: &CtSampler) {
-        let n = sampler.program.num_inputs() as usize;
-        self.draw.resize((n + 1) * W, 0);
-        self.inputs.resize(n, [0; W]);
-        self.slots.resize(sampler.kernel.num_slots(), [0; W]);
-        self.words.resize(sampler.kernel.num_outputs(), [0; W]);
-    }
-}
-
 /// Caller-reusable scratch for the backend-dispatched batch API
-/// ([`CtSampler::sample_batch_lanes`]): like [`BatchScratch`], but the
-/// lane width is a runtime property of the chosen [`Backend`] instead of
-/// a const generic, so one call site serves every backend.
+/// ([`CtSampler::sample_batch_lanes`]). The lane width is a runtime
+/// property of the chosen [`Backend`], so one call site serves every
+/// backend.
 ///
 /// Buffers are planar and input-major (`buf[i * width + w]` is machine
-/// word `w` of plane `i`) — byte-identical to the `[[u64; W]]` layout of
-/// the const-generic paths. Create with [`CtSampler::lane_scratch`];
-/// reuse across batches.
+/// word `w` of plane `i`). Create with [`CtSampler::lane_scratch`] or
+/// [`CtSampler::lane_scratch_for`]; reuse across batches — buffers are
+/// sized once and then never reallocate for the same sampler.
 #[derive(Debug, Clone)]
 pub struct LaneScratch {
     backend: Backend,
@@ -227,8 +188,8 @@ impl CtSampler {
 
     /// The optimizing-lowered per-op kernel: fused opcodes,
     /// register-allocated slots ([`CompiledKernel::stats`] reports what
-    /// lowering did). Kept as the second oracle; execution goes through
-    /// [`tiled_kernel`](Self::tiled_kernel).
+    /// lowering did). The lowering stage the tiled kernel is built from;
+    /// execution goes through [`tiled_kernel`](Self::tiled_kernel).
     pub fn kernel(&self) -> &CompiledKernel {
         &self.kernel
     }
@@ -281,14 +242,6 @@ impl CtSampler {
     /// [`audit_compiled`](Self::audit_compiled)'s.
     pub fn audit_tiled(&self) -> AuditReport {
         audit_tiled(&self.tiled)
-    }
-
-    /// Creates reusable scratch for the `_with` batch APIs at lane-block
-    /// width `W`.
-    pub fn scratch<const W: usize>(&self) -> BatchScratch<W> {
-        let mut s = BatchScratch::empty();
-        s.fit(self);
-        s
     }
 
     /// Creates reusable scratch for [`sample_batch_lanes`](Self::sample_batch_lanes)
@@ -355,27 +308,10 @@ impl CtSampler {
         out
     }
 
-    /// [`run_batch`](Self::run_batch) through the *per-op* compiled
-    /// kernel — one dispatch per instruction, no tiling. Kept as the
-    /// mid-level oracle (and the `kernel_compare` baseline) between the
-    /// interpreter and the tiled engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` differs from the program's input count.
-    pub fn run_batch_compiled(&self, inputs: &[u64], signs: u64) -> [i32; 64] {
-        let nw = self.kernel.num_outputs();
-        let mut words = [0u64; MAX_SAMPLE_BITS];
-        self.kernel.execute_fast(inputs, &mut words[..nw]);
-        let mut out = [0i32; 64];
-        decode_lanes(&words[..nw], signs, &mut out);
-        out
-    }
-
     /// The interpreter-executed reference oracle for
     /// [`run_batch`](Self::run_batch): same inputs, same outputs, no
-    /// lowering — kept for equivalence tests and audits of the compiled
-    /// engines.
+    /// lowering — the single oracle the tiled kernel is checked against
+    /// in equivalence tests.
     ///
     /// # Panics
     ///
@@ -387,54 +323,10 @@ impl CtSampler {
         out
     }
 
-    /// Generates `64 * W` signed samples into `out` through caller-owned
-    /// scratch — the zero-allocation engine behind the wide and bulk APIs.
-    ///
-    /// Draws `W` consecutive batch records in one [`RandomSource::fill_u64s`]
-    /// call and executes the kernel once over `W`-wide lane words (the
-    /// fixed-size array ops auto-vectorize), so the result equals `W`
-    /// consecutive [`sample_batch`](Self::sample_batch) calls on the same
-    /// generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != 64 * W`.
-    pub fn sample_batch_with<const W: usize, R: RandomSource>(
-        &self,
-        rng: &mut R,
-        scratch: &mut BatchScratch<W>,
-        out: &mut [i32],
-    ) {
-        assert_eq!(out.len(), 64 * W, "output slice must hold 64 * W samples");
-        let n = self.program.num_inputs() as usize;
-        scratch.fit(self);
-        rng.fill_u64s(&mut scratch.draw);
-        // De-interleave the W batch records into W-wide lane words.
-        let mut signs = [0u64; W];
-        for w in 0..W {
-            let record = &scratch.draw[w * (n + 1)..(w + 1) * (n + 1)];
-            for (i, input) in scratch.inputs.iter_mut().enumerate() {
-                input[w] = record[i];
-            }
-            signs[w] = record[n];
-        }
-        self.tiled
-            .execute(&scratch.inputs, &mut scratch.slots, &mut scratch.words);
-        for w in 0..W {
-            let mut lanes = [0i32; 64];
-            let mut plane = [0u64; MAX_SAMPLE_BITS];
-            for (iota, word) in scratch.words.iter().enumerate() {
-                plane[iota] = word[w];
-            }
-            decode_lanes(&plane[..scratch.words.len()], signs[w], &mut lanes);
-            out[64 * w..64 * (w + 1)].copy_from_slice(&lanes);
-        }
-    }
-
     /// Generates `64 * width` signed samples through the scratch's SIMD
-    /// backend — the backend-dispatched sibling of
-    /// [`sample_batch_with`](Self::sample_batch_with), and the engine
-    /// behind [`sample_into`](Self::sample_into).
+    /// backend — the zero-allocation batch engine behind
+    /// [`sample_into`](Self::sample_into), the pool workers and the Falcon
+    /// base sampler.
     ///
     /// Draws `width` consecutive batch records in one
     /// [`RandomSource::fill_u64s`] call and executes the tiled kernel once
@@ -514,42 +406,6 @@ impl CtSampler {
             decode_lanes(&plane[..nw], signs[lane], &mut lanes);
             out[64 * lane..64 * (lane + 1)].copy_from_slice(&lanes);
         }
-    }
-
-    /// Generates `64 * W` signed samples in one kernel pass.
-    ///
-    /// One instruction dispatch performs `W` word operations, so wider
-    /// batches amortize dispatch overhead (the sweet spot on machines with
-    /// 256-bit vector units is `W = 4`). Equals `W` consecutive
-    /// [`sample_batch`](Self::sample_batch) calls on the same generator
-    /// (see the draw-order contract in the type docs).
-    ///
-    /// Convenience wrapper that allocates its scratch and output; steady-
-    /// state consumers should hold a [`BatchScratch`] and call
-    /// [`sample_batch_with`](Self::sample_batch_with).
-    pub fn sample_batch_wide<const W: usize, R: RandomSource>(&self, rng: &mut R) -> Vec<i32> {
-        let mut out = vec![0i32; 64 * W];
-        self.sample_batch_wide_into::<W, _>(rng, &mut out);
-        out
-    }
-
-    /// Generates `64 * W` signed samples in one kernel pass into a
-    /// caller-provided buffer — [`sample_batch_wide`](Self::sample_batch_wide)
-    /// without the output `Vec` allocation. Only the internal scratch is
-    /// allocated; callers running batches in a loop should hold a
-    /// [`BatchScratch`] and use [`sample_batch_with`](Self::sample_batch_with)
-    /// to eliminate that too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != 64 * W`.
-    pub fn sample_batch_wide_into<const W: usize, R: RandomSource>(
-        &self,
-        rng: &mut R,
-        out: &mut [i32],
-    ) {
-        let mut scratch = self.scratch::<W>();
-        self.sample_batch_with(rng, &mut scratch, out);
     }
 
     /// Fills `out` with signed samples — the bulk API.
@@ -647,10 +503,26 @@ mod tests {
     use ctgauss_knuthyao::{enumerate_leaves, ColumnScanSampler};
     use ctgauss_prng::{ChaChaRng, SplitMix64};
 
+    /// [`CtSampler::run_batch`] through the per-op lowering stage's plain
+    /// evaluator instead of the tiled kernel.
+    fn run_batch_per_op(sampler: &CtSampler, inputs: &[u64], signs: u64) -> [i32; 64] {
+        let mut out = [0i32; 64];
+        decode_lanes(&sampler.kernel().run(inputs), signs, &mut out);
+        out
+    }
+
+    /// Generates `64 * backend.width()` samples through the lanes path.
+    fn lanes_batch(sampler: &CtSampler, backend: Backend, rng: &mut ChaChaRng) -> Vec<i32> {
+        let mut scratch = sampler.lane_scratch_for(backend);
+        let mut out = vec![0i32; 64 * backend.width()];
+        sampler.sample_batch_lanes(rng, &mut scratch, &mut out);
+        out
+    }
+
     /// Feed every leaf's exact bit string through a batch lane and verify
     /// the program outputs the leaf's sample value — functional equivalence
-    /// between the constant-time program and Algorithm 1. Checks both the
-    /// compiled kernel and the interpreter oracle.
+    /// between the constant-time program and Algorithm 1. Checks the tiled
+    /// kernel, the per-op lowering stage and the interpreter oracle.
     fn check_program_matches_leaves(strategy: Strategy, sigma: &str, n: u32) {
         let sampler = SamplerBuilder::new(sigma, n)
             .strategy(strategy)
@@ -674,7 +546,7 @@ mod tests {
             );
             assert_eq!(
                 out,
-                sampler.run_batch_compiled(&inputs, 0),
+                run_batch_per_op(&sampler, &inputs, 0),
                 "{strategy}: tiled kernel vs per-op kernel"
             );
             for (lane, leaf) in chunk.iter().enumerate() {
@@ -720,7 +592,7 @@ mod tests {
                 );
                 assert_eq!(
                     tiled,
-                    sampler.run_batch_compiled(&inputs, signs),
+                    run_batch_per_op(&sampler, &inputs, signs),
                     "{strategy}, round {round}: tiled vs per-op kernel"
                 );
             }
@@ -867,38 +739,46 @@ mod tests {
         }
     }
 
-    /// The documented draw-order contract makes wide execution
-    /// deterministic relative to scalar batches: `sample_batch_wide::<W>`
-    /// on a fresh generator equals `W` consecutive `sample_batch` calls on
-    /// an identically seeded one.
+    /// The documented draw-order contract makes lane execution
+    /// deterministic relative to scalar batches: `sample_batch_lanes` on a
+    /// fresh generator equals `width` consecutive `sample_batch` calls on
+    /// an identically seeded one — on every available backend.
     #[test]
     fn wide_batch_equals_scalar_batches_lane_for_lane() {
         let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        for seed in [31, 1234, 999] {
-            let mut rng_wide = ChaChaRng::from_u64_seed(seed);
-            let wide = sampler.sample_batch_wide::<4, _>(&mut rng_wide);
-            assert_eq!(wide.len(), 256);
-            let mut rng_scalar = ChaChaRng::from_u64_seed(seed);
-            for w in 0..4 {
-                let scalar = sampler.sample_batch(&mut rng_scalar);
+        for backend in Backend::available() {
+            let width = backend.width();
+            for seed in [31, 1234, 999] {
+                let mut rng_wide = ChaChaRng::from_u64_seed(seed);
+                let wide = lanes_batch(&sampler, backend, &mut rng_wide);
+                assert_eq!(wide.len(), 64 * width);
+                let mut rng_scalar = ChaChaRng::from_u64_seed(seed);
+                for w in 0..width {
+                    let scalar = sampler.sample_batch(&mut rng_scalar);
+                    assert_eq!(
+                        &wide[64 * w..64 * (w + 1)],
+                        &scalar[..],
+                        "{backend}, seed {seed}, record {w}"
+                    );
+                }
+                // Both generators must end at the same stream position.
                 assert_eq!(
-                    &wide[64 * w..64 * (w + 1)],
-                    &scalar[..],
-                    "seed {seed}, record {w}"
+                    rng_wide.next_u64(),
+                    rng_scalar.next_u64(),
+                    "{backend}, seed {seed}"
                 );
             }
-            // Both generators must end at the same stream position.
-            assert_eq!(rng_wide.next_u64(), rng_scalar.next_u64(), "seed {seed}");
         }
     }
 
     #[test]
     fn wide_batch_matches_distribution_and_determinism() {
         let sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        let backend = Backend::select_for_width(4);
         // Lane equivalence against run_batch on the same per-position
         // words: record w of the draw is a scalar batch record.
         let mut rng = ChaChaRng::from_u64_seed(31);
-        let wide = sampler.sample_batch_wide::<4, _>(&mut rng);
+        let wide = lanes_batch(&sampler, backend, &mut rng);
         let mut replay = ChaChaRng::from_u64_seed(31);
         let n = sampler.program().num_inputs() as usize;
         for w in 0..4 {
@@ -909,11 +789,14 @@ mod tests {
         }
         // Statistical sanity across the whole wide batch.
         let mut rng2 = ChaChaRng::from_u64_seed(32);
+        let mut scratch = sampler.lane_scratch_for(backend);
+        let mut out = [0i32; 256];
         let mut sum = 0f64;
         let mut sq = 0f64;
         let n_batches = 500;
         for _ in 0..n_batches {
-            for s in sampler.sample_batch_wide::<4, _>(&mut rng2) {
+            sampler.sample_batch_lanes(&mut rng2, &mut scratch, &mut out);
+            for &s in &out {
                 sum += f64::from(s);
                 sq += f64::from(s) * f64::from(s);
             }
@@ -926,52 +809,44 @@ mod tests {
     }
 
     /// `sample_into` equals the prefix of repeated `sample_batch` calls,
-    /// for lengths exercising the wide phase, the scalar phase and the
-    /// truncated tail.
+    /// for lengths exercising the wide phases, the scalar phase and the
+    /// truncated tail — with every available backend selected.
     #[test]
     fn sample_into_matches_repeated_batches() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        for len in [
-            0usize, 1, 63, 64, 65, 127, 128, 129, 191, 192, 256, 300, 448, 1000,
-        ] {
-            let mut rng_bulk = ChaChaRng::from_u64_seed(555);
-            let mut bulk = vec![0i32; len];
-            sampler.sample_into(&mut bulk, &mut rng_bulk);
-            let mut rng_ref = ChaChaRng::from_u64_seed(555);
-            let mut reference = Vec::with_capacity(len.div_ceil(64) * 64);
-            while reference.len() < len {
-                reference.extend_from_slice(&sampler.sample_batch(&mut rng_ref));
+        let mut sampler = SamplerBuilder::new("2", 24).build().unwrap();
+        for backend in Backend::available() {
+            sampler.set_backend(backend);
+            for len in [
+                0usize, 1, 63, 64, 65, 127, 128, 129, 191, 192, 256, 300, 448, 513, 1000,
+            ] {
+                let mut rng_bulk = ChaChaRng::from_u64_seed(555);
+                let mut bulk = vec![0i32; len];
+                sampler.sample_into(&mut bulk, &mut rng_bulk);
+                let mut rng_ref = ChaChaRng::from_u64_seed(555);
+                let mut reference = Vec::with_capacity(len.div_ceil(64) * 64);
+                while reference.len() < len {
+                    reference.extend_from_slice(&sampler.sample_batch(&mut rng_ref));
+                }
+                assert_eq!(bulk, &reference[..len], "{backend}, len {len}");
             }
-            assert_eq!(bulk, &reference[..len], "len {len}");
         }
     }
 
-    /// The buffer-filling wide API is stream-identical to the allocating
-    /// one (it is the same kernel pass, minus the `Vec`).
-    #[test]
-    fn wide_into_matches_wide() {
-        let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        let mut rng_a = ChaChaRng::from_u64_seed(91);
-        let mut rng_b = ChaChaRng::from_u64_seed(91);
-        let mut out = [0i32; 128];
-        sampler.sample_batch_wide_into::<2, _>(&mut rng_a, &mut out);
-        assert_eq!(&out[..], &sampler.sample_batch_wide::<2, _>(&mut rng_b)[..]);
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    /// Reused scratch produces the same stream as the allocating
-    /// convenience API.
+    /// Reused lane scratch produces the same stream as fresh scratch per
+    /// batch, on every available backend.
     #[test]
     fn scratch_reuse_is_equivalent() {
         let sampler = SamplerBuilder::new("2", 24).build().unwrap();
-        let mut rng_a = ChaChaRng::from_u64_seed(77);
-        let mut rng_b = ChaChaRng::from_u64_seed(77);
-        let mut scratch = sampler.scratch::<2>();
-        let mut out = [0i32; 128];
-        for round in 0..5 {
-            sampler.sample_batch_with(&mut rng_a, &mut scratch, &mut out);
-            let fresh = sampler.sample_batch_wide::<2, _>(&mut rng_b);
-            assert_eq!(&out[..], &fresh[..], "round {round}");
+        for backend in Backend::available() {
+            let mut rng_a = ChaChaRng::from_u64_seed(77);
+            let mut rng_b = ChaChaRng::from_u64_seed(77);
+            let mut scratch = sampler.lane_scratch_for(backend);
+            let mut out = vec![0i32; 64 * backend.width()];
+            for round in 0..5 {
+                sampler.sample_batch_lanes(&mut rng_a, &mut scratch, &mut out);
+                let fresh = lanes_batch(&sampler, backend, &mut rng_b);
+                assert_eq!(out, fresh, "{backend}, round {round}");
+            }
         }
     }
 

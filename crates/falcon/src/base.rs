@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use ctgauss_cdt::{BinarySearchCdt, ByteScanCdt, CdtTable, LinearSearchCdt};
-use ctgauss_core::{BatchScratch, CtSampler, SamplerSpec, Strategy};
+use ctgauss_core::{Backend, CtSampler, LaneScratch, SamplerSpec, Strategy};
 use ctgauss_knuthyao::GaussianParams;
 use ctgauss_prng::ChaChaRng;
 
@@ -15,19 +15,21 @@ fn base_params() -> GaussianParams {
     GaussianParams::new("2", 128, 13).expect("paper parameters are valid")
 }
 
-/// Lane-block width of the signing path's batches: 8 × 64 samples per
-/// compiled-kernel pass.
+/// Lane width of the signing path's batches: 8 × 64 samples per tiled
+/// kernel pass.
 const WIDE: usize = 8;
 
 /// "This work": the constant-time bitsliced Knuth-Yao sampler, consumed
-/// through its wide (8 x 64 lanes) batch interface. The compiled-kernel
-/// scratch and the sample buffer are allocated once at construction and
-/// reused for every refill, so steady-state signing performs no heap
-/// allocation in the sampling path.
+/// through its lanes batch interface on an 8-word (8 x 64 lanes)
+/// backend. The lane scratch and the sample buffer are allocated once at
+/// construction and reused for every refill, so steady-state signing
+/// performs no heap allocation in the sampling path. By the draw-order
+/// contract the stream equals consecutive scalar batches, whichever
+/// 8-word backend the machine selects.
 pub struct KnuthYaoCtBase {
     sampler: Arc<CtSampler>,
     rng: ChaChaRng,
-    scratch: BatchScratch<WIDE>,
+    scratch: LaneScratch,
     buf: [i32; 64 * WIDE],
     pos: usize,
 }
@@ -45,7 +47,7 @@ impl KnuthYaoCtBase {
             .strategy(Strategy::SplitExact)
             .build_shared()
             .expect("paper parameters build");
-        let scratch = sampler.scratch::<WIDE>();
+        let scratch = sampler.lane_scratch_for(Backend::select_for_width(WIDE));
         KnuthYaoCtBase {
             sampler,
             rng: ChaChaRng::from_u64_seed(seed),
@@ -65,7 +67,7 @@ impl BaseSampler for KnuthYaoCtBase {
     fn next(&mut self) -> i32 {
         if self.pos == self.buf.len() {
             self.sampler
-                .sample_batch_with(&mut self.rng, &mut self.scratch, &mut self.buf);
+                .sample_batch_lanes(&mut self.rng, &mut self.scratch, &mut self.buf);
             self.pos = 0;
         }
         let v = self.buf[self.pos];
@@ -189,6 +191,29 @@ mod tests {
             assert!(mean.abs() < 0.05, "{}: mean {mean}", base.name());
             assert!((var - 4.0).abs() < 0.2, "{}: var {var}", base.name());
         }
+    }
+
+    /// FNV-1a over the little-endian bytes of `draws`.
+    fn fnv1a(draws: &[i32]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in draws.iter().flat_map(|d| d.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// FNV-1a digest of the first 4096 draws of `KnuthYaoCtBase::new(7)`:
+    /// the Falcon base stream every batch engine must reproduce.
+    const GOLDEN: u64 = 0x89cf_9570_f00a_299c;
+
+    /// The first 4096 draws of the signing path's base sampler are pinned
+    /// by digest, so a change to the batch engine underneath cannot
+    /// silently change the Falcon base stream.
+    #[test]
+    fn knuth_yao_base_stream_is_pinned() {
+        let mut base = KnuthYaoCtBase::new(7);
+        let draws: Vec<i32> = (0..4096).map(|_| base.next()).collect();
+        assert_eq!(fnv1a(&draws), GOLDEN);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   handle (an `Arc<CtSampler>` shared via
 //!   [`SamplerSpec::build_shared`](ctgauss_core::SamplerSpec) — the
 //!   Figure-4 pipeline runs once, not once per worker), reusable
-//!   `BatchScratch`, and an independent PRNG stream forked from one
+//!   [`LaneScratch`](ctgauss_core::LaneScratch), and an independent PRNG
+//!   stream forked from one
 //!   [`SeedTree`](ctgauss_prng::SeedTree) by worker index.
 //! * Requests ([`SampleRequest`]: sigma-profile id + count) flow through
 //!   bounded per-shard rings with round-robin assignment by submission

@@ -22,12 +22,13 @@ use crate::worker::{
     epoch_streams, spawn_worker, Job, Member, StreamMode, WorkerContext, WorkerStats,
 };
 
-/// Lane-block width each worker executes the compiled kernel at:
+/// Lane-block width each worker executes the tiled kernel at:
 /// `64 * lanes()` samples per kernel pass.
 ///
-/// The width is a runtime choice (the scratch type is const-generic, so
-/// the pool dispatches to a monomorphized worker loop per variant). By
-/// the draw-order contract every width produces the *same* per-worker
+/// The width is a runtime choice: each worker holds a
+/// [`LaneScratch`](ctgauss_core::LaneScratch) for the backend
+/// [`Backend::select_for_width`](ctgauss_core::Backend::select_for_width)
+/// picks at that width. By the draw-order contract every width produces the *same* per-worker
 /// sample stream; the width only trades dispatch amortization against
 /// tail-batch latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

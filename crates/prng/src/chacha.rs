@@ -295,6 +295,13 @@ const REFILL_BYTES: usize = 256;
 /// block computations; the byte stream is exactly the single-block
 /// stream, just produced in larger strides.
 ///
+/// The block counter is 64 bits wide, as in the original ChaCha: its low
+/// word is state word 12 and a carry out of it increments nonce word 0
+/// (state word 13, zero for the first 2^32 blocks). The first 2^32 blocks
+/// (256 GiB) are therefore exactly the RFC 8439 stream with a zero nonce,
+/// and the stream never wraps back to block 0. A wide refill that would
+/// straddle the 2^32-block boundary runs block by block instead.
+///
 /// # Examples
 ///
 /// ```
@@ -306,7 +313,10 @@ const REFILL_BYTES: usize = 256;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChaChaRng {
+    /// The cipher; its nonce word 0 holds the high word of the 64-bit
+    /// block counter.
     cipher: ChaCha20,
+    /// Low word of the 64-bit block counter: the next block to generate.
     counter: u32,
     buf: [u8; REFILL_BYTES],
     pos: usize,
@@ -333,10 +343,42 @@ impl ChaChaRng {
         Self::from_seed(key)
     }
 
+    /// Whether the `n` blocks from the current counter share one high
+    /// counter word, so a wide block call (which increments only the low
+    /// word) may generate them together.
+    fn fits(&self, n: u32) -> bool {
+        self.counter.checked_add(n - 1).is_some()
+    }
+
+    /// Advances the 64-bit block counter by `n` blocks, carrying out of
+    /// the low word into nonce word 0.
+    fn advance(&mut self, n: u32) {
+        let (low, carry) = self.counter.overflowing_add(n);
+        self.counter = low;
+        if carry {
+            self.cipher.nonce[0] = self.cipher.nonce[0].wrapping_add(1);
+        }
+    }
+
     fn refill(&mut self) {
-        self.buf = self.cipher.four_blocks(self.counter);
-        self.counter = self.counter.wrapping_add(4);
+        if self.fits(4) {
+            self.buf = self.cipher.four_blocks(self.counter);
+            self.advance(4);
+        } else {
+            for k in 0..REFILL_BYTES / 64 {
+                self.buf[64 * k..64 * (k + 1)].copy_from_slice(&self.cipher.block(self.counter));
+                self.advance(1);
+            }
+        }
         self.pos = 0;
+    }
+
+    /// Positions the generator at the start of 64-bit block `block`.
+    #[cfg(test)]
+    fn seek_block(&mut self, block: u64) {
+        self.counter = block as u32;
+        self.cipher.nonce[0] = (block >> 32) as u32;
+        self.pos = REFILL_BYTES;
     }
 }
 
@@ -355,10 +397,11 @@ impl RandomSource for ChaChaRng {
     }
 
     /// Block-filled override: whole keystream blocks are converted to
-    /// `u64` words straight into the destination — 32 words per
-    /// four-block batch while the request is long, 8 per single block for
-    /// the tail — bypassing the byte staging buffer for the bulk of the
-    /// request. Stream-equivalent to the default byte-at-a-time
+    /// `u64` words straight into the destination — 64 words per
+    /// eight-block batch or 32 per four-block batch while the request is
+    /// long, 8 per single block for the tail and across the 2^32-block
+    /// counter boundary — bypassing the byte staging buffer for the bulk
+    /// of the request. Stream-equivalent to the default byte-at-a-time
     /// implementation (see the trait contract).
     fn fill_u64s(&mut self, dst: &mut [u64]) {
         let mut i = 0;
@@ -378,26 +421,27 @@ impl RandomSource for ChaChaRng {
             }
             i += 1;
         }
-        // Eight whole blocks at a time straight into the destination —
-        // the vectorized refill (AVX2 where the CPU has it, portable
-        // structure-of-arrays otherwise; identical bytes either way).
-        while dst.len() - i >= 64 {
-            dst[i..i + 64].copy_from_slice(&self.cipher.eight_blocks_u64s(self.counter));
-            self.counter = self.counter.wrapping_add(8);
-            i += 64;
-        }
-        // Four whole blocks at a time: one state load and four
-        // interleaved block computations per call.
-        while dst.len() - i >= 32 {
-            dst[i..i + 32].copy_from_slice(&self.cipher.four_blocks_u64s(self.counter));
-            self.counter = self.counter.wrapping_add(4);
-            i += 32;
-        }
-        // Whole single blocks: 8 words per block function call.
+        // Whole blocks straight into the destination, widest first:
+        // eight at a time through the vectorized refill (AVX2 where the
+        // CPU has it, portable structure-of-arrays otherwise; identical
+        // bytes either way), four at a time with one state load, then
+        // single blocks. A wide call never straddles the 2^32-block
+        // boundary, where the high counter word changes.
         while dst.len() - i >= 8 {
-            dst[i..i + 8].copy_from_slice(&self.cipher.block_u64s(self.counter));
-            self.counter = self.counter.wrapping_add(1);
-            i += 8;
+            let left = dst.len() - i;
+            if left >= 64 && self.fits(8) {
+                dst[i..i + 64].copy_from_slice(&self.cipher.eight_blocks_u64s(self.counter));
+                self.advance(8);
+                i += 64;
+            } else if left >= 32 && self.fits(4) {
+                dst[i..i + 32].copy_from_slice(&self.cipher.four_blocks_u64s(self.counter));
+                self.advance(4);
+                i += 32;
+            } else {
+                dst[i..i + 8].copy_from_slice(&self.cipher.block_u64s(self.counter));
+                self.advance(1);
+                i += 8;
+            }
         }
         // Tail shorter than a block: refill the buffer as usual.
         for w in &mut dst[i..] {
@@ -625,6 +669,97 @@ mod tests {
             let via_next: Vec<u64> = (0..words).map(|_| slow.next_u64()).collect();
             assert_eq!(via_fill, via_next, "pre_bytes={pre_bytes}, words={words}");
             assert_eq!(fast.next_u64(), slow.next_u64(), "pre_bytes={pre_bytes}");
+        }
+    }
+
+    const BOUNDARY_SEED: [u8; 32] = [0x5a; 32];
+    const BOUNDARY: u64 = 1 << 32;
+
+    /// Block `block` of the 64-bit-counter stream, computed independently
+    /// of `ChaChaRng`: the low counter word as the RFC 8439 counter, the
+    /// high word as nonce word 0.
+    fn reference_block(block: u64) -> [u8; 64] {
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&((block >> 32) as u32).to_le_bytes());
+        ChaCha20::new(&BOUNDARY_SEED, &nonce).block(block as u32)
+    }
+
+    /// Bytes of blocks `start .. start + blocks` of the reference stream.
+    fn reference_bytes(start: u64, blocks: u64) -> Vec<u8> {
+        (start..start + blocks).flat_map(reference_block).collect()
+    }
+
+    fn to_u64s(bytes: &[u8]) -> Vec<u64> {
+        bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect()
+    }
+
+    /// Asserts that block 2^32 of a stream started at `start` is the
+    /// carried block, not a repeat of block 0.
+    fn assert_no_wrap(stream: &[u8], start: u64) {
+        let at = 64 * (BOUNDARY - start) as usize;
+        let crossed = &stream[at..at + 64];
+        assert_eq!(crossed, reference_block(BOUNDARY), "start {start}");
+        let block0 = ChaCha20::new(&BOUNDARY_SEED, &[0; 12]).block(0);
+        assert_ne!(crossed, block0, "start {start}: stream wrapped to block 0");
+    }
+
+    /// Starting `k` blocks before the 2^32-block boundary, repeated
+    /// 1-, 4- and 8-block `fill_u64s` requests continue into block 2^32
+    /// exactly like the single-block reference.
+    #[test]
+    fn fill_u64s_carries_across_the_32_bit_block_boundary() {
+        for blocks_per_call in [1u64, 4, 8] {
+            for k in 0..=9u64 {
+                let start = BOUNDARY - k;
+                let mut rng = ChaChaRng::from_seed(BOUNDARY_SEED);
+                rng.seek_block(start);
+                let calls = (k + 2 * blocks_per_call).div_ceil(blocks_per_call);
+                let mut got = Vec::new();
+                for _ in 0..calls {
+                    let mut words = vec![0u64; 8 * blocks_per_call as usize];
+                    rng.fill_u64s(&mut words);
+                    got.extend(words);
+                }
+                let expected = reference_bytes(start, calls * blocks_per_call);
+                assert_eq!(got, to_u64s(&expected), "{blocks_per_call}-block, k = {k}");
+                assert_no_wrap(&expected, start);
+            }
+        }
+    }
+
+    /// One long `fill_u64s` request straddling the boundary mixes the
+    /// wide and single-block paths without a seam.
+    #[test]
+    fn long_fill_u64s_straddles_the_32_bit_block_boundary() {
+        for k in 0..=9u64 {
+            let start = BOUNDARY - k;
+            let mut rng = ChaChaRng::from_seed(BOUNDARY_SEED);
+            rng.seek_block(start);
+            let mut got = vec![0u64; 8 * 24];
+            rng.fill_u64s(&mut got);
+            let expected = reference_bytes(start, 24);
+            assert_eq!(got, to_u64s(&expected), "k = {k}");
+            assert_eq!(rng.next_u64(), to_u64s(&reference_block(start + 24))[0]);
+        }
+    }
+
+    /// The byte path's four-block refill carries across the boundary too.
+    #[test]
+    fn fill_bytes_carries_across_the_32_bit_block_boundary() {
+        for k in 0..=9u64 {
+            let start = BOUNDARY - k;
+            let mut rng = ChaChaRng::from_seed(BOUNDARY_SEED);
+            rng.seek_block(start);
+            let mut got = vec![0u8; 64 * 16];
+            for chunk in got.chunks_mut(100) {
+                rng.fill_bytes(chunk);
+            }
+            let expected = reference_bytes(start, 16);
+            assert_eq!(got, expected, "k = {k}");
+            assert_no_wrap(&got, start);
         }
     }
 

@@ -4,7 +4,7 @@
 //! crate.
 
 use ctgauss_cdt::{BinarySearchCdt, ByteScanCdt, CdtTable, LinearSearchCdt};
-use ctgauss_core::{SamplerBuilder, Strategy};
+use ctgauss_core::{Backend, SamplerBuilder, Strategy};
 use ctgauss_knuthyao::{ColumnScanSampler, GaussianParams, ProbabilityMatrix};
 use ctgauss_prng::{BitBuffer, ChaChaRng};
 use ctgauss_stats::{chi_square_test, discrete_gaussian_pmf, statistical_distance, Histogram};
@@ -81,9 +81,12 @@ fn cdt_samplers_match_exact_distribution() {
 fn wide_batches_match_narrow_distribution() {
     let s = SamplerBuilder::new(SIGMA, N).build().unwrap();
     let mut rng = ChaChaRng::from_u64_seed(5);
+    let mut scratch = s.lane_scratch_for(Backend::select_for_width(4));
+    let mut out = [0i32; 256];
     let mut h = Histogram::new(-(BOUND as i32), BOUND as i32);
     for _ in 0..(SAMPLES / 256) {
-        for v in s.sample_batch_wide::<4, _>(&mut rng) {
+        s.sample_batch_lanes(&mut rng, &mut scratch, &mut out);
+        for &v in &out {
             h.add(v);
         }
     }
